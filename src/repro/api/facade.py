@@ -14,7 +14,6 @@ processes — that proves the builder's backend seam.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -28,7 +27,7 @@ from repro.provenance.graph import Explanation
 from repro.runtime.inmemory import NetworkStats
 from repro.runtime.peer import Peer, PeerStageReport
 from repro.runtime.processes import ProcessNetwork
-from repro.runtime.scheduler import LockstepScheduler, drive
+from repro.runtime.scheduler import drive
 from repro.runtime.system import RoundReport, RunSummary, WebdamLogSystem
 from repro.runtime.transport import Transport
 from repro.api.errors import ReproApiError
@@ -132,21 +131,6 @@ class PeerHandle:
                 "a declarative query names its peers inline (rel@peer literals)"
             )
         return self._system._install_view(self, query, viewer=viewer, name=name)
-
-    def facts(self, relation: str, peer: Optional[str] = None) -> Tuple[Fact, ...]:
-        """Deprecated one-shot read: use ``query(relation).facts()``.
-
-        .. deprecated::
-           ``PeerHandle.facts`` predates :class:`LiveView`; the live handle
-           returned by :meth:`query` answers one-shot reads *and* streaming,
-           observation and ACL filtering through one object.
-        """
-        warnings.warn(
-            "PeerHandle.facts() is deprecated; use query(relation).facts() "
-            "(the LiveView handle) instead",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.query(relation, peer=peer).facts()
 
     def subscribe(self, relation: str, callback: FactCallback,
                   on_remove: Optional[FactCallback] = None) -> Subscription:
@@ -346,20 +330,6 @@ class System:
     def run(self, max_rounds: int = 100, extra_rounds: int = 0) -> RunSummary:
         """Alias of :meth:`converge` (historical name and signature)."""
         return self.converge(max_steps=max_rounds, extra_rounds=extra_rounds)
-
-    def run_round(self) -> RoundReport:
-        """Execute exactly one lockstep round (every peer runs one stage).
-
-        Prefer :meth:`step`, which respects the configured scheduler; this
-        method always drives a full lockstep round, matching its historical
-        contract.
-        """
-        self._flush_subscription_backlogs()
-        return LockstepScheduler().step(self.runtime)
-
-    def run_rounds(self, count: int) -> List[RoundReport]:
-        """Execute ``count`` lockstep rounds unconditionally (see :meth:`run_round`)."""
-        return [self.run_round() for _ in range(count)]
 
     @property
     def current_round(self) -> int:

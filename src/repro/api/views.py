@@ -27,6 +27,7 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+from repro.core.aggregation import Aggregate, compute_aggregate
 from repro.core.errors import ParseError, SafetyError
 from repro.core.facts import Fact
 from repro.core.parser import (
@@ -38,7 +39,6 @@ from repro.core.parser import (
 from repro.core.rules import Atom, Rule
 from repro.core.schema import RelationKind, RelationSchema
 from repro.core.terms import Term, Variable
-from repro.datalog.aggregation import Aggregate, compute_aggregate
 from repro.planner.magic import apply_magic
 from repro.api.errors import ReproApiError
 from repro.api.query import FactCallback, QueryHandle, Subscription

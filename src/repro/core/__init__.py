@@ -6,6 +6,8 @@ The sub-modules are layered roughly as follows::
                                   \\->  unification
     evaluation  ->  delegation  ->  state  ->  engine
 
+``aggregation`` (group-by over plain tuples) stands apart from the chain.
+
 ``engine.WebdamLogEngine`` is the public entry point used by the runtime; the
 lower layers are exported for library users who want to build programs
 programmatically rather than through the parser.

@@ -22,7 +22,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 
 from repro.core.delegation import Delegation, DelegationDiff
 from repro.core.errors import EvaluationError, SchemaError
-from repro.core.evaluation import RuleEvaluator, RuleOutcome, stratify_local_rules
+from repro.core.evaluation import RuleEvaluator, RuleOutcome
 from repro.core.facts import Delta, Fact
 from repro.core.parser import ParsedProgram, parse_fact, parse_program, parse_rule
 from repro.core.rules import Atom, Rule
@@ -46,6 +46,52 @@ def _predicate_of(atom: Atom) -> str:
     return f"{relation}@{peer}"
 
 
+def stratify_local_rules(rules: Sequence[Rule]) -> List[List[Rule]]:
+    """Group a peer's rules into strata for negation-safe fixpoint evaluation.
+
+    A rule sits in the stratum of its head predicate.  A head predicate is at
+    least as high as every predicate its rules read, and strictly higher
+    than every predicate they read under negation.  A body literal whose
+    relation or peer is a variable may read any derived relation, so it
+    depends on every head predicate of the program.  Strata are returned in
+    increasing order, with rule order preserved inside each stratum.
+
+    When a cycle runs through negation the rules are returned as a single
+    stratum: the engine still evaluates them, but negation-as-failure is then
+    only best-effort, as in the original system, which had no negation.  A
+    rule whose *head* relation or peer is a variable is likewise best-effort
+    under negation: its target is data-dependent, so the readers of the
+    relation it actually derives into are not ordered after it.
+    """
+    heads = [_predicate_of(rule.head) for rule in rules]
+    every_head = set(heads)
+    # (body predicate, head predicate) -> read under negation somewhere.
+    edges: Dict[Tuple[str, str], bool] = {}
+    for rule, head in zip(rules, heads):
+        for atom in rule.body:
+            predicate = _predicate_of(atom)
+            for source in every_head if predicate == _WILDCARD else (predicate,):
+                edges[source, head] = edges.get((source, head), False) or atom.negated
+    # Only head predicates rise above stratum 0, and a stratifiable program
+    # climbs at most one stratum per head; climbing further means a cycle
+    # through negation.
+    stratum = dict.fromkeys(every_head, 0)
+    changed = True
+    while changed:
+        changed = False
+        for (source, head), negative in edges.items():
+            required = stratum.get(source, 0) + negative
+            if stratum[head] < required:
+                if required > len(every_head):
+                    return [list(rules)]
+                stratum[head] = required
+                changed = True
+    grouped: Dict[int, List[Rule]] = {}
+    for rule, head in zip(rules, heads):
+        grouped.setdefault(stratum[head], []).append(rule)
+    return [grouped[s] for s in sorted(grouped)]
+
+
 class _ProgramAnalysis:
     """Precomputed dependency structure of a peer's current program.
 
@@ -59,9 +105,9 @@ class _ProgramAnalysis:
     __slots__ = ("rules", "strata", "body_predicates", "negated_predicates",
                  "head_predicate")
 
-    def __init__(self, peer: str, rules: Tuple[Rule, ...]):
+    def __init__(self, rules: Tuple[Rule, ...]):
         self.rules = rules
-        self.strata = stratify_local_rules(peer, list(rules))
+        self.strata = stratify_local_rules(rules)
         self.body_predicates: Dict[Rule, FrozenSet[str]] = {}
         self.head_predicate: Dict[Rule, str] = {}
         self.negated_predicates: Set[str] = set()
@@ -273,8 +319,8 @@ class WebdamLogEngine:
         # tracker exposing the maintenance hooks (``on_base_deleted`` /
         # ``on_rederive`` / ``on_full_recompute``) rides the incremental
         # evaluation paths — the graph is kept consistent along delta and
-        # rederive stages; a hook-less recorder (or per-stage mode) falls
-        # back to the historical full recompute every stage.
+        # rederive stages; a hook-less recorder falls back to the
+        # historical full recompute every stage.
         self.provenance = None
         # Facts addressed to remote peers by the local user (or wrappers),
         # flushed at the next stage.
@@ -520,8 +566,6 @@ class WebdamLogEngine:
         self.state.stage_counter += 1
         self._dirty = False
         result = StageResult(peer=self.peer, stage=self.state.stage_counter)
-        if self.provenance is not None and hasattr(self.provenance, "notify_stage"):
-            self.provenance.notify_stage(self.state.stage_counter)
 
         # ---- step 1: load inputs ------------------------------------- #
         result.consumed_inputs = self._consume_inputs()
@@ -701,15 +745,13 @@ class WebdamLogEngine:
         """``True`` when the attached tracker can ride the incremental paths.
 
         Requires the maintenance hooks (``on_base_deleted`` / ``on_rederive``
-        / ``on_full_recompute``) and cumulative mode: a per-stage tracker
-        expects every stage to re-record all derivations, which only the
-        historical full recompute provides.
+        / ``on_full_recompute``); a record-only tracker expects every stage
+        to re-record all derivations, which only a full recompute provides.
         """
         provenance = self.provenance
-        if provenance is None or getattr(provenance, "per_stage", False):
-            return False
-        return all(hasattr(provenance, hook) for hook in
-                   ("on_base_deleted", "on_rederive", "on_full_recompute"))
+        return provenance is not None and all(
+            hasattr(provenance, hook)
+            for hook in ("on_base_deleted", "on_rederive", "on_full_recompute"))
 
     def _run_fixpoint(self, result: StageResult) -> RuleOutcome:
         """Run the local fixpoint, choosing the cheapest sound strategy.
@@ -717,7 +759,7 @@ class WebdamLogEngine:
         * **full** — clear every local intensional relation and recompute
           (the seed engine's behaviour).  Used when the program or a schema
           changed, in ``"naive"`` mode, or when a legacy provenance recorder
-          (no maintenance hooks, or per-stage mode) is attached.
+          (no maintenance hooks) is attached.
         * **skip** — the input delta is empty: nothing can change, the
           memoised outcome is returned without evaluating anything.
         * **delta** — the input delta is insert-only and does not reach a
@@ -736,7 +778,7 @@ class WebdamLogEngine:
         analysis = self._analysis
         program_changed = analysis is None or not analysis.matches(rules)
         if program_changed:
-            analysis = self._analysis = _ProgramAnalysis(self.peer, rules)
+            analysis = self._analysis = _ProgramAnalysis(rules)
             # Identity backstop: rule mutations that bypassed the engine API
             # still move the program version (and drop cached plans).
             self.program_version += 1

@@ -8,8 +8,7 @@ stats), with interchangeable implementations:
 
 * :class:`~repro.runtime.inmemory.InMemoryTransport` — a deterministic
   simulated network (per-round delivery, configurable latency and loss) that
-  makes rounds and message counts measurable, used by the benchmarks
-  (``InMemoryNetwork`` is its deprecated historical name);
+  makes rounds and message counts measurable, used by the benchmarks;
 * :class:`~repro.runtime.transport.RecordingTransport` — a decorator that
   logs every send/deliver event of an inner transport;
 * :class:`~repro.runtime.processes.ProcessNetwork` — each peer runs in its own
@@ -29,7 +28,7 @@ from repro.runtime.messages import (
     PeerJoinMessage,
     Message,
 )
-from repro.runtime.inmemory import InMemoryNetwork, InMemoryTransport, NetworkStats
+from repro.runtime.inmemory import InMemoryTransport, NetworkStats
 from repro.runtime.transport import RecordingTransport, Transport, TransportEvent
 from repro.runtime.peer import Peer
 from repro.runtime.scheduler import (
@@ -49,7 +48,6 @@ __all__ = [
     "DelegationInstallMessage",
     "DelegationRetractMessage",
     "PeerJoinMessage",
-    "InMemoryNetwork",
     "InMemoryTransport",
     "NetworkStats",
     "RecordingTransport",

@@ -13,14 +13,11 @@ and exposes the **primitives** an execution driver composes:
 default :class:`~repro.runtime.scheduler.LockstepScheduler` reproduces the
 historical global rounds, while the reactive and async drivers activate only
 peers with pending work (see :mod:`repro.runtime.scheduler`).  Drive the
-system with :meth:`converge` / :meth:`step` (or ``await`` :meth:`aconverge`);
-the historical ``run_round`` / ``run_rounds`` / ``run_until_quiescent``
-methods remain as deprecated lockstep shims.
+system with :meth:`converge` / :meth:`step` (or ``await`` :meth:`aconverge`).
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.acl.trust import TrustStore
@@ -32,7 +29,6 @@ from repro.runtime.messages import PeerJoinMessage
 from repro.runtime.peer import Peer, PeerStageReport
 from repro.runtime.scheduler import (
     AsyncScheduler,
-    LockstepScheduler,
     RoundReport,
     RunSummary,
     Scheduler,
@@ -386,55 +382,6 @@ class WebdamLogSystem:
         return await driver.aconverge(self, max_steps=max_steps,
                                       extra_rounds=extra_rounds,
                                       quiet_period=quiet_period)
-
-    # ------------------------------------------------------------------ #
-    # deprecated round-based shims (pre-scheduler API)
-    # ------------------------------------------------------------------ #
-
-    def run_round(self) -> RoundReport:
-        """Deprecated: execute one lockstep round (every peer runs one stage).
-
-        .. deprecated::
-           Use :meth:`step` (with the scheduler of your choice) or
-           :meth:`converge`.
-        """
-        warnings.warn(
-            "WebdamLogSystem.run_round() is deprecated; use step() or "
-            "converge() with a scheduler (see repro.runtime.scheduler)",
-            DeprecationWarning, stacklevel=2,
-        )
-        return LockstepScheduler().step(self)
-
-    def run_rounds(self, count: int) -> List[RoundReport]:
-        """Deprecated: execute ``count`` lockstep rounds unconditionally.
-
-        .. deprecated::
-           Use :meth:`step` (with the scheduler of your choice) or
-           :meth:`converge`.
-        """
-        warnings.warn(
-            "WebdamLogSystem.run_rounds() is deprecated; use step() or "
-            "converge() with a scheduler (see repro.runtime.scheduler)",
-            DeprecationWarning, stacklevel=2,
-        )
-        driver = LockstepScheduler()
-        return [driver.step(self) for _ in range(count)]
-
-    def run_until_quiescent(self, max_rounds: int = 100,
-                            extra_rounds: int = 0) -> RunSummary:
-        """Deprecated: run lockstep rounds until the whole system converges.
-
-        .. deprecated::
-           Use :meth:`converge` (equivalent under the default lockstep
-           scheduler, and scheduler-aware otherwise).
-        """
-        warnings.warn(
-            "WebdamLogSystem.run_until_quiescent() is deprecated; use "
-            "converge() (see repro.runtime.scheduler)",
-            DeprecationWarning, stacklevel=2,
-        )
-        return LockstepScheduler().converge(self, max_steps=max_rounds,
-                                            extra_rounds=extra_rounds)
 
     # ------------------------------------------------------------------ #
     # reporting

@@ -24,7 +24,7 @@ positions, remote literals, provided facts, provenance recording) returns
 entry point plays the same role for the live-view read path: ``GROUP BY``
 pushdown of ``count/sum/min/max/avg`` with exactness guards (integer-only
 SUM/AVG, single-typed MIN/MAX) so pushed-down answers are bit-identical to
-:func:`repro.datalog.aggregation.compute_aggregate`.
+:func:`repro.core.aggregation.compute_aggregate`.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.aggregation import Aggregate
 from repro.core.rules import Atom, Rule
 from repro.core.terms import Constant, Variable
-from repro.datalog.aggregation import Aggregate
 from repro.store.backend import DERIVED_NAMESPACE, STORE_NAMESPACE
 from repro.store.sqlite import (
     EXACT_SUM_TAGS,

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.aggregation import Aggregate, aggregate_relation
 from repro.core.facts import Fact
-from repro.datalog.aggregation import Aggregate, aggregate_relation
 from repro.wepic.pictures import Picture
 
 

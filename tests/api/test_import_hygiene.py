@@ -1,0 +1,30 @@
+"""The package runs on the standard library alone."""
+
+import json
+import os
+import subprocess
+import sys
+
+# Modules loaded before the import (interpreter start-up, site hooks) are
+# the environment's, not the package's.
+PROBE = """
+import json, sys
+before = set(sys.modules)
+import repro, repro.api
+print(json.dumps(sorted({name.split(".")[0] for name in set(sys.modules) - before})))
+"""
+
+
+def test_importing_repro_loads_only_the_standard_library():
+    # A fresh interpreter, so modules the test runner itself loaded
+    # (pytest, hypothesis, ...) do not count.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    loaded = json.loads(subprocess.run(
+        [sys.executable, "-c", PROBE], check=True, capture_output=True,
+        text=True, env=env).stdout)
+    # multiprocessing aliases the entry-point module as __mp_main__.
+    third_party = [name for name in loaded
+                   if name not in sys.stdlib_module_names
+                   and name not in ("repro", "__mp_main__")]
+    assert third_party == []
+    assert "networkx" not in loaded

@@ -71,12 +71,11 @@ class TestDegenerateQueries:
         with pytest.raises(ReproApiError, match="location qualifier"):
             deployment.query("q", "a@q($x), c@q($x)", peer="r")
 
-    def test_facts_shim_is_deprecated(self):
+    def test_peer_relation_is_read_through_a_query(self):
         deployment = build_pair()
         seed(deployment)
-        with pytest.warns(DeprecationWarning, match="LiveView"):
-            facts = deployment.peer("q").facts("a")
-        assert len(facts) == 4 or len(facts) == 3  # live data either way
+        facts = deployment.peer("q").query("a").facts()
+        assert sorted(fact.values for fact in facts) == [(1,), (2,), (3,)]
 
 
 class TestCompiledViews:

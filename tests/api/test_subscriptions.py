@@ -39,7 +39,8 @@ class TestExactlyOnce:
         built.run()
         count_after_first = len(fired)
         built.run()
-        built.run_rounds(3)
+        for _ in range(3):
+            built.step()
         assert len(fired) == count_after_first == sub.delivered == 2
 
     def test_incremental_facts_fire_incrementally(self):

@@ -130,6 +130,27 @@ class TestStageBasics:
         engine.run_to_quiescence()
         assert {f.values[0] for f in engine.query("visible")} == {1}
 
+    def test_relation_variable_literal_reads_a_completed_negation_stratum(self, engine):
+        """Regression: ``$r@alice($x)`` may read ``big``, so ``copy`` must be
+        evaluated after ``big``'s negation stratum, not before it."""
+        engine.load_program("""
+        collection extensional persistent sel@alice(r);
+        collection extensional persistent s@alice(x);
+        collection extensional persistent small@alice(x);
+        collection intensional big@alice(x);
+        collection intensional copy@alice(x);
+        fact sel@alice("big");
+        fact s@alice(1);
+        fact s@alice(2);
+        fact s@alice(3);
+        fact small@alice(2);
+        rule copy@alice($x) :- sel@alice($r), $r@alice($x);
+        rule big@alice($x) :- s@alice($x), not small@alice($x);
+        """)
+        engine.run_to_quiescence()
+        assert {f.values[0] for f in engine.query("big")} == {1, 3}
+        assert {f.values[0] for f in engine.query("copy")} == {1, 3}
+
     def test_derived_local_extensional_facts_deferred_to_next_stage(self, engine):
         engine.load_program("""
         collection extensional persistent raw@alice(x);

@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.delegation import Delegation
 from repro.core.errors import EvaluationError
-from repro.core.evaluation import RuleEvaluator, RuleOutcome, stratify_local_rules
+from repro.core.engine import stratify_local_rules
+from repro.core.evaluation import RuleEvaluator, RuleOutcome
 from repro.core.facts import Fact
 from repro.core.parser import parse_rule
 from repro.core.rules import Atom, Rule
@@ -219,7 +220,7 @@ class TestStratifyLocalRules:
             parse_rule("a@p($x) :- base@p($x)"),
             parse_rule("b@p($x) :- base@p($x), not a@p($x)"),
         ]
-        strata = stratify_local_rules("p", rules)
+        strata = stratify_local_rules(rules)
         assert len(strata) == 2
         assert strata[0][0].head.relation_constant() == "a"
         assert strata[1][0].head.relation_constant() == "b"
@@ -229,7 +230,7 @@ class TestStratifyLocalRules:
             parse_rule("a@p($x) :- base@p($x)"),
             parse_rule("b@p($x) :- a@p($x)"),
         ]
-        strata = stratify_local_rules("p", rules)
+        strata = stratify_local_rules(rules)
         assert sum(len(s) for s in strata) == 2
 
     def test_unstratifiable_falls_back_to_single_stratum(self):
@@ -237,9 +238,67 @@ class TestStratifyLocalRules:
             parse_rule("a@p($x) :- base@p($x), not b@p($x)"),
             parse_rule("b@p($x) :- base@p($x), not a@p($x)"),
         ]
-        strata = stratify_local_rules("p", rules)
+        strata = stratify_local_rules(rules)
         assert len(strata) == 1
         assert len(strata[0]) == 2
 
     def test_empty_rule_list(self):
-        assert stratify_local_rules("p", []) in ([], [[]])
+        assert stratify_local_rules([]) in ([], [[]])
+
+    @pytest.mark.parametrize("program, expected", [
+        pytest.param(
+            ["a@p($x) :- base@p($x)",
+             "b@p($x) :- base@p($x), not a@p($x)",
+             "c@p($x) :- base@p($x), not b@p($x)"],
+            [["a"], ["b"], ["c"]], id="chained-negation"),
+        pytest.param(
+            ["filtered@p($x) :- base@p($x), not bad@p($x)",
+             "bad@p($x) :- flagged@p($x)",
+             "report@p($x) :- filtered@p($x)"],
+            [["bad"], ["filtered", "report"]], id="positive-on-negated-stratum"),
+        pytest.param(
+            ["a@p($x) :- base@p($x)",
+             "b@p($x) :- base@p($x), not a@p($x)",
+             "b@p($x) :- a@p($x)"],
+            [["a"], ["b", "b"]], id="negative-edge-seen-both-ways"),
+        pytest.param(
+            ["reach@p($x) :- source@p($x)",
+             "reach@p($y) :- reach@p($x), edge@p($x, $y)",
+             "unreachable@p($x) :- node@p($x), not reach@p($x)"],
+            [["reach", "reach"], ["unreachable"]], id="negation-over-recursion"),
+        pytest.param(
+            ["copy@p($x) :- sel@p($r), $r@p($x)",
+             "big@p($x) :- s@p($x), not small@p($x)"],
+            [["copy", "big"]], id="relation-variable-reads-every-head"),
+        pytest.param(
+            ["copy@p($x) :- sel@p($who), r@$who($x)",
+             "r@p($x) :- s@p($x), not t@p($x)"],
+            [["copy", "r"]], id="peer-variable-reads-every-head"),
+        pytest.param(
+            ["a@p($x) :- base@p($x)",
+             "b@p($x) :- base@p($x), not a@p($x)",
+             "copy@p($x) :- sel@p($r), s@p($x), not $r@p($x)"],
+            [["a", "b", "copy"]], id="negated-relation-variable-is-unstratifiable"),
+        pytest.param(
+            ["b@p($x) :- base@p($x), not a@p($x)",
+             "a@p($x) :- base@p($x), not a@p($x)"],
+            [["b", "a"]], id="self-negation-keeps-written-order"),
+        pytest.param(
+            ["even@p($x) :- zero@p($x)",
+             "odd@p($y) :- even@p($x), succ@p($x, $y)",
+             "even@p($y) :- odd@p($x), succ@p($x, $y)",
+             "big@p($x) :- num@p($x), not odd@p($x)"],
+            [["even", "odd", "even"], ["big"]], id="mutual-recursion-shares-a-stratum"),
+        pytest.param(
+            ["a@p($x) :- base@p($x), not ext@p($x)",
+             "b@p($x) :- a@p($x)"],
+            [["a", "b"]], id="negated-base-relation-stays-at-zero"),
+        pytest.param(
+            ["view@q($x) :- base@p($x), not a@p($x)",
+             "a@p($x) :- flagged@p($x)"],
+            [["a"], ["view"]], id="remote-head-is-stratified"),
+    ])
+    def test_strata_in_order_with_rule_order_kept(self, program, expected):
+        strata = stratify_local_rules([parse_rule(text) for text in program])
+        assert [[r.head.relation_constant() for r in stratum]
+                for stratum in strata] == expected

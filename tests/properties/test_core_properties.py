@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) of the core data structures."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.facts import Delta, Fact, FactStore
@@ -148,9 +148,12 @@ class TestMatchingProperties:
         assert result[Variable("P")] == Constant(fact.peer)
 
     @given(facts(max_arity=3))
+    @example(Fact("r", "p", ("$x",)))
     @settings(max_examples=100)
     def test_ground_atom_built_from_fact_matches_exactly_itself(self, fact):
-        atom = Atom.of(fact.relation, fact.peer, *fact.values)
+        # Atom.of would read a "$"-prefixed value as a variable; build the
+        # ground atom from constants so every drawn value stays a constant.
+        atom = Atom(Constant(fact.relation), Constant(fact.peer), fact.terms())
         assert match_atom_fact(atom, fact) == {}
         other = Fact(fact.relation, fact.peer, fact.values + ("extra",))
         assert match_atom_fact(atom, other) is None

@@ -1,15 +1,14 @@
-"""Property-based tests of the evaluators and the distributed engine."""
+"""Property-based tests of the engine and the distributed runtime."""
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.engine import WebdamLogEngine
 from repro.core.facts import Fact
 from repro.core.schema import RelationKind, RelationSchema
-from repro.datalog.naive import NaiveEvaluator
-from repro.datalog.program import Database, DatalogProgram, atom, rule
-from repro.datalog.seminaive import SeminaiveEvaluator
 from repro.runtime.system import WebdamLogSystem
 
 edges = st.lists(
@@ -17,13 +16,12 @@ edges = st.lists(
     max_size=40,
 )
 
-
-def transitive_closure_program() -> DatalogProgram:
-    program = DatalogProgram()
-    program.add_rule(rule(atom("path", "?x", "?y"), atom("edge", "?x", "?y")))
-    program.add_rule(rule(atom("path", "?x", "?z"),
-                          atom("path", "?x", "?y"), atom("edge", "?y", "?z")))
-    return program
+TRANSITIVE_CLOSURE = """
+collection extensional persistent edge@p(src, dst);
+collection intensional path@p(src, dst);
+rule path@p($x, $y) :- edge@p($x, $y);
+rule path@p($x, $z) :- path@p($x, $y), edge@p($y, $z);
+"""
 
 
 def reference_closure(edge_set):
@@ -40,34 +38,39 @@ def reference_closure(edge_set):
     return closure
 
 
+def closure_after_each_batch(batches, evaluation_mode):
+    """The engine's ``path`` relation after loading each batch of edges.
+
+    Batches after the first reach the engine as insert deltas, so the
+    incremental mode runs its delta path rather than only a full recompute.
+    """
+    engine = WebdamLogEngine("p", evaluation_mode=evaluation_mode)
+    engine.load_program(TRANSITIVE_CLOSURE)
+    closures = []
+    for batch in batches:
+        engine.insert_facts(Fact("edge", "p", edge) for edge in batch)
+        engine.run_to_quiescence()
+        closures.append({fact.values for fact in engine.query("path")})
+    return closures
+
+
+@pytest.mark.parametrize("evaluation_mode", ["incremental", "naive"])
 class TestEvaluatorProperties:
     @given(edges)
     @settings(max_examples=40, deadline=None)
-    def test_naive_and_seminaive_agree_with_reference(self, edge_list):
-        database = Database()
-        for a, b in edge_list:
-            database.add("edge", (a, b))
-        naive_db = NaiveEvaluator(transitive_closure_program()).run(database)
-        semi_db = SeminaiveEvaluator(transitive_closure_program()).run(database)
-        expected = reference_closure(set(edge_list))
-        assert naive_db.relation("path") == expected
-        assert semi_db.relation("path") == expected
+    def test_engine_agrees_with_reference(self, evaluation_mode, edge_list):
+        half = len(edge_list) // 2
+        closures = closure_after_each_batch(
+            [edge_list[:half], edge_list[half:]], evaluation_mode)
+        assert closures == [reference_closure(set(edge_list[:half])),
+                            reference_closure(set(edge_list))]
 
     @given(edges)
     @settings(max_examples=30, deadline=None)
-    def test_evaluation_is_monotone_in_the_input(self, edge_list):
-        if not edge_list:
-            return
-        smaller = edge_list[: len(edge_list) // 2]
-        db_small = Database()
-        db_large = Database()
-        for a, b in smaller:
-            db_small.add("edge", (a, b))
-        for a, b in edge_list:
-            db_large.add("edge", (a, b))
-        evaluator = SeminaiveEvaluator(transitive_closure_program())
-        small_paths = evaluator.run(db_small).relation("path")
-        large_paths = evaluator.run(db_large).relation("path")
+    def test_evaluation_is_monotone_in_the_input(self, evaluation_mode, edge_list):
+        [small_paths] = closure_after_each_batch(
+            [edge_list[:len(edge_list) // 2]], evaluation_mode)
+        [large_paths] = closure_after_each_batch([edge_list], evaluation_mode)
         assert small_paths <= large_paths
 
 

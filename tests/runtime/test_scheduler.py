@@ -1,4 +1,4 @@
-"""The scheduler seam: lockstep/reactive/async drivers, quiescence, shims."""
+"""The scheduler seam: lockstep/reactive/async drivers, quiescence, stepping."""
 
 import asyncio
 
@@ -271,28 +271,22 @@ class TestQuietPeriod:
         assert snapshot(1) == snapshot(4)
 
 
-class TestDeprecatedShims:
-    """The round-based methods warn and delegate to the lockstep driver."""
+class TestSteppingAndConverging:
+    """``step()`` runs one scheduling cycle; ``converge()`` runs to the fixpoint."""
 
-    def test_run_round_warns_and_runs_a_lockstep_round(self):
-        sys = build_ping_pong("reactive")
-        with pytest.warns(DeprecationWarning, match="run_round"):
-            report = sys.run_round()
-        # A lockstep round activates every peer, whatever the configured driver.
+    def test_lockstep_step_activates_every_peer(self):
+        sys = build_ping_pong("lockstep", idle_peers=2)
+        report = sys.step()
         assert set(report.peer_reports) == set(sys.peers)
 
-    def test_run_rounds_warns(self):
-        sys = build_ping_pong("lockstep")
-        with pytest.warns(DeprecationWarning, match="run_rounds"):
-            reports = sys.run_rounds(2)
-        assert len(reports) == 2
-
-    def test_run_until_quiescent_warns_and_still_converges(self):
-        sys = build_ping_pong("lockstep")
-        with pytest.warns(DeprecationWarning, match="run_until_quiescent"):
-            summary = sys.run_until_quiescent()
-        assert summary.converged
-        assert len(sys.peer("a").query("ack")) == 1
+    def test_repeated_steps_reach_the_converged_fixpoint(self):
+        stepped = build_ping_pong("lockstep")
+        for _ in range(6):
+            stepped.step()
+        converged = build_ping_pong("lockstep")
+        assert converged.converge().converged
+        assert stepped.snapshot() == converged.snapshot()
+        assert len(stepped.peer("a").query("ack")) == 1
 
     def test_converge_does_not_warn(self, recwarn):
         sys = build_ping_pong("lockstep")
