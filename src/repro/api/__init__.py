@@ -56,7 +56,7 @@ from repro.net.tcp import TcpTransport
 from repro.runtime.transport import RecordingTransport, Transport, TransportEvent
 from repro.api.builder import BuildError, PeerBuilder, SystemBuilder, system
 from repro.api.errors import ReproApiError
-from repro.api.facade import PeerHandle, ProcessSystem, System
+from repro.api.facade import PeerHandle, System
 from repro.api.query import FactCallback, QueryHandle, Subscription
 from repro.api.views import CompiledView, LiveView, compile_query
 
@@ -71,7 +71,6 @@ __all__ = [
     "BuildError",
     "System",
     "PeerHandle",
-    "ProcessSystem",
     "Transport",
     "TransportEvent",
     "InMemoryTransport",

@@ -315,12 +315,10 @@ class WebdamLogEngine:
         self.use_indexes = use_indexes
         # Optional provenance tracker (see :mod:`repro.provenance`): when set,
         # every derivation of the fixpoint is recorded through its ``record``
-        # method, which the access-control view policies build upon.  A
-        # tracker exposing the maintenance hooks (``on_base_deleted`` /
-        # ``on_rederive`` / ``on_full_recompute``) rides the incremental
-        # evaluation paths — the graph is kept consistent along delta and
-        # rederive stages; a hook-less recorder falls back to the
-        # historical full recompute every stage.
+        # method, which the access-control view policies build upon.  Its
+        # maintenance hooks (``on_base_deleted`` / ``on_rederive`` /
+        # ``on_full_recompute``) keep the graph consistent along the delta,
+        # rederive and full paths.
         self.provenance = None
         # Facts addressed to remote peers by the local user (or wrappers),
         # flushed at the next stage.
@@ -741,25 +739,12 @@ class WebdamLogEngine:
         pending.clear()
         return consumed
 
-    def _provenance_incremental(self) -> bool:
-        """``True`` when the attached tracker can ride the incremental paths.
-
-        Requires the maintenance hooks (``on_base_deleted`` / ``on_rederive``
-        / ``on_full_recompute``); a record-only tracker expects every stage
-        to re-record all derivations, which only a full recompute provides.
-        """
-        provenance = self.provenance
-        return provenance is not None and all(
-            hasattr(provenance, hook)
-            for hook in ("on_base_deleted", "on_rederive", "on_full_recompute"))
-
     def _run_fixpoint(self, result: StageResult) -> RuleOutcome:
         """Run the local fixpoint, choosing the cheapest sound strategy.
 
         * **full** — clear every local intensional relation and recompute
           (the seed engine's behaviour).  Used when the program or a schema
-          changed, in ``"naive"`` mode, or when a legacy provenance recorder
-          (no maintenance hooks) is attached.
+          changed, and in ``"naive"`` mode.
         * **skip** — the input delta is empty: nothing can change, the
           memoised outcome is returned without evaluating anything.
         * **delta** — the input delta is insert-only and does not reach a
@@ -790,9 +775,7 @@ class WebdamLogEngine:
                        .merge(self.state.peek_provided_delta()))
         self._carryover_delta = Delta.empty()
 
-        provenance_incremental = self._provenance_incremental()
         force_full = (self.evaluation_mode == "naive"
-                      or (self.provenance is not None and not provenance_incremental)
                       or program_changed
                       or self._schema_changed)
         self._schema_changed = False
@@ -801,7 +784,7 @@ class WebdamLogEngine:
         # evaluation path chosen below: their derivations (and transitive
         # dependents) are retracted, and the rederive/full pass re-records
         # whatever is still derivable.
-        if provenance_incremental and input_delta.deleted:
+        if self.provenance is not None and input_delta.deleted:
             self.provenance.on_base_deleted(input_delta.deleted)
 
         delta_predicates = ({fact.qualified_relation for fact in input_delta.inserted}
@@ -934,7 +917,7 @@ class WebdamLogEngine:
         stage is still the true derived change.
         """
         full = affected_rules is None
-        if self._provenance_incremental():
+        if self.provenance is not None:
             # Mirror the store clears in the provenance graph: the cleared
             # predicates' derivations die here and are re-recorded by the
             # re-evaluation below, so the graph tracks exact derivability.

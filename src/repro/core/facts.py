@@ -108,9 +108,8 @@ def fact_matches_bindings(fact: Fact, bindings: Dict[int, ConstantValue]) -> boo
 
     Type-strict, mirroring :class:`~repro.core.terms.Constant` equality and
     the hash-index keys (``True`` stays distinct from ``1``); a bound
-    position beyond the fact's arity never matches.  This is the one
-    definition of positional matching shared by the indexed stores, the
-    provided-fact filter and the legacy fact-source adapter.
+    position beyond the fact's arity never matches.  The engine state uses
+    it to filter provided facts by the evaluator's bindings.
     """
     values = fact.values
     return all(position < len(values)

@@ -11,9 +11,8 @@ stats), with interchangeable implementations:
   makes rounds and message counts measurable, used by the benchmarks;
 * :class:`~repro.runtime.transport.RecordingTransport` — a decorator that
   logs every send/deliver event of an inner transport;
-* :class:`~repro.runtime.processes.ProcessNetwork` — each peer runs in its own
-  OS process (the "simulate peers as processes locally" substitution), with
-  messages serialised over pipes.
+* :class:`~repro.net.tcp.TcpTransport` (in :mod:`repro.net`) — every peer
+  behind a real localhost socket, with messages serialised into wire frames.
 
 :class:`~repro.runtime.peer.Peer` wraps a :class:`~repro.core.engine.WebdamLogEngine`
 together with its delegation controller and wrappers;

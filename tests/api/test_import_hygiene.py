@@ -22,9 +22,8 @@ def test_importing_repro_loads_only_the_standard_library():
     loaded = json.loads(subprocess.run(
         [sys.executable, "-c", PROBE], check=True, capture_output=True,
         text=True, env=env).stdout)
-    # multiprocessing aliases the entry-point module as __mp_main__.
     third_party = [name for name in loaded
-                   if name not in sys.stdlib_module_names
-                   and name not in ("repro", "__mp_main__")]
+                   if name not in sys.stdlib_module_names and name != "repro"]
     assert third_party == []
     assert "networkx" not in loaded
+    assert "multiprocessing" not in loaded

@@ -1,9 +1,12 @@
 """The deprecated entry points are gone; their replacements remain."""
 
+import importlib
+
 import pytest
 
+import repro.api
 import repro.runtime
-from repro.api import PeerHandle
+from repro.api import PeerHandle, SystemBuilder
 from repro.provenance import ProvenanceTracker
 from repro.runtime.system import WebdamLogSystem
 
@@ -14,6 +17,8 @@ from repro.runtime.system import WebdamLogSystem
     (WebdamLogSystem, "run_until_quiescent", "converge"),
     (PeerHandle, "facts", None),
     (ProvenanceTracker, "reset_each_stage", None),
+    (SystemBuilder, "backend", "transport"),
+    (repro.api, "ProcessSystem", "System"),
 ], ids=lambda value: value if isinstance(value, str) else None)
 def test_deprecated_method_is_removed(owner, name, replacement):
     assert not hasattr(owner, name)
@@ -31,3 +36,8 @@ def test_provenance_tracker_takes_no_per_stage_flag():
     with pytest.raises(TypeError):
         ProvenanceTracker(per_stage=True)
 
+
+def test_process_runtime_module_is_removed():
+    assert "ProcessSystem" not in repro.api.__all__
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.runtime.processes")

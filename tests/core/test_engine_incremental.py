@@ -116,23 +116,17 @@ class TestEvaluationPaths:
         assert result.evaluation_path == "delta"
         assert engine.provenance.why(Fact("tc", "alice", (1, 2)))
 
-    def test_legacy_recorder_still_forces_the_full_path(self, engine):
-        """A hook-less recorder keeps the historical full-recompute contract."""
+    def test_hook_less_recorder_is_rejected_on_the_first_stage(self, engine):
+        """A record-only object is no tracker: it fails, never pins ``full``."""
 
         class Recorder:
-            def __init__(self):
-                self.seen = []
-
             def record(self, fact, rule, support):
-                self.seen.append((fact, rule.rule_id, support))
+                pass
 
         engine.load_program(TC_PROGRAM)
         engine.provenance = Recorder()
-        engine.run_to_quiescence()
-        engine.insert_fact(Fact("link", "alice", (1, 2)))
-        result = engine.run_stage()
-        assert result.evaluation_path == "full"
-        assert engine.provenance.seen
+        with pytest.raises(AttributeError):
+            engine.run_stage()
 
 
 class TestMemoisedOutputs:
@@ -202,10 +196,11 @@ class TestFactStoreIndexes:
 
 
 class TestEvaluatorSources:
-    def test_legacy_two_argument_source_is_filtered(self):
+    def test_source_ignoring_bindings_is_filtered_by_matching(self):
         facts = [Fact("r", "p", (1, "a")), Fact("r", "p", (2, "b"))]
 
-        def source(relation, peer):
+        def source(relation, peer, bindings=None):
+            # Answers with the whole relation whatever ``bindings`` asks for.
             return [f for f in facts if f.relation == relation and f.peer == peer]
 
         evaluator = RuleEvaluator("p", source)

@@ -29,6 +29,25 @@ collection extensional persistent album@emilien(pic);
 '''
 
 
+# Delegation: Jules's rule reads a relation at a peer named in Jules's data.
+SELECTED_JULES = """
+collection extensional persistent selectedAttendee@Jules(attendee);
+collection intensional attendeePictures@Jules(id, name);
+fact selectedAttendee@Jules("Emilien");
+rule attendeePictures@Jules($id, $n) :- selectedAttendee@Jules($a), pictures@$a($id, $n);
+"""
+
+SELECTED_EMILIEN = """
+collection extensional persistent pictures@Emilien(id, name);
+fact pictures@Emilien(1, "sea.jpg");
+fact pictures@Emilien(2, "boat.jpg");
+"""
+
+
+def with_transport(builder, transport):
+    return builder.transport("tcp", seed=7) if transport == "tcp" else builder
+
+
 def wait_for(predicate, timeout=8.0, interval=0.05):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -165,3 +184,59 @@ def test_builder_rejects_unknown_transport_name():
     from repro.api import BuildError
     with pytest.raises(BuildError):
         system().transport("carrier-pigeon")
+
+
+@pytest.mark.parametrize("transport", ["inmemory", "tcp"])
+def test_delegation_across_peers(transport):
+    builder = (system()
+               .peer("Jules").program(SELECTED_JULES)
+               .peer("Emilien").program(SELECTED_EMILIEN)
+               .done())
+    with with_transport(builder, transport).build() as deployment:
+        assert deployment.converge().converged
+        facts = deployment.query("Jules", "attendeePictures").facts()
+        assert {fact.values[0] for fact in facts} == {1, 2}
+        assert deployment.peer("Emilien").counts()["installed_delegations"] == 1
+
+
+@pytest.mark.parametrize("transport", ["inmemory", "tcp"])
+def test_insert_fact_and_add_rule_after_build(transport):
+    builder = system().peer("alice").peer("bob").done()
+    with with_transport(builder, transport).build() as deployment:
+        deployment.peer("alice").add_rule("mirror@bob($x) :- local@alice($x)")
+        deployment.peer("alice").insert(Fact("local", "alice", (41,)))
+        assert deployment.converge().converged
+        assert deployment.query("bob", "mirror").facts() == (
+            Fact("mirror", "bob", (41,)),)
+
+
+@pytest.mark.parametrize("transport", ["inmemory", "tcp"])
+def test_close_is_idempotent(transport):
+    builder = system().peer("alice").peer("bob").done()
+    deployment = with_transport(builder, transport).build()
+    assert deployment.converge().converged
+    deployment.close()
+    deployment.close()
+
+
+def test_provenance_survives_the_wire():
+    """Lineage shipped in TCP frames explains a fact as in memory does."""
+    derived = Fact("attendeePictures", "Jules", (1, "sea.jpg"))
+
+    def explain(transport):
+        builder = (system().provenance()
+                   .peer("Jules").program(SELECTED_JULES)
+                   .peer("Emilien").program(SELECTED_EMILIEN)
+                   .done())
+        with with_transport(builder, transport).build() as deployment:
+            assert deployment.converge().converged
+            explanation = deployment.explain("Jules", derived)
+            via_string = deployment.explain(
+                "Jules", 'attendeePictures@Jules(1, "sea.jpg")')
+            assert via_string == explanation
+            return explanation
+
+    over_tcp = explain("tcp")
+    assert over_tcp.derived
+    assert "pictures@Emilien" in over_tcp.base_relations
+    assert over_tcp == explain("inmemory")
