@@ -17,16 +17,17 @@ extensional, ephemeral and derived facts.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
+from repro.core import codec
 from repro.core.delegation import DelegationStore, DelegationTracker, InstalledDelegation
 from repro.core.errors import SchemaError
 from repro.core.facts import Delta, Fact, FactStore, fact_matches_bindings
 from repro.core.rules import Rule, ensure_rule_counter_above
 from repro.core.schema import RelationKind, RelationSchema, SchemaRegistry
-from repro.store import serialize
 from repro.store.backend import DERIVED_NAMESPACE, STORE_NAMESPACE
 from repro.store.memory import MemoryBackend
 
@@ -76,7 +77,7 @@ class PeerState:
         # Schemas must be back before the fact stores attach their tables.
         persisted_schemas = self.backend.load_meta("schema")
         for _key, payload in persisted_schemas:
-            self.schemas.declare(serialize.decode_schema(payload))
+            self.schemas.declare(codec.decode_schema(json.loads(payload)))
         self.store = FactStore(self.schemas, owner=peer, backend=self.backend,
                                namespace=STORE_NAMESPACE)
         self.derived = FactStore(self.schemas, owner=peer, backend=self.backend,
@@ -89,10 +90,10 @@ class PeerState:
         self.delegations_in = DelegationStore(peer)
         persisted_rules = self.backend.load_meta("rule")
         for _key, payload in persisted_rules:
-            self.own_rules.append(serialize.decode_rule(payload))
+            self.own_rules.append(codec.decode_rule(json.loads(payload)))
         persisted_delegations = self.backend.load_meta("delegation")
         for _key, payload in persisted_delegations:
-            installed = serialize.decode_delegation(payload)
+            installed = codec.decode_delegation(json.loads(payload))
             self.delegations_in.install(installed.delegation_id, installed.delegator,
                                         installed.rule)
         self.restored = bool(persisted_schemas or persisted_rules
@@ -134,6 +135,10 @@ class PeerState:
     # durability
     # ------------------------------------------------------------------ #
 
+    def _save_meta(self, kind: str, key: str, encoded) -> None:
+        """Persist one metadata record as JSON text (see :mod:`repro.core.codec`)."""
+        self.backend.save_meta(kind, key, json.dumps(encoded, sort_keys=True))
+
     def commit(self) -> None:
         """Make every change since the last commit durable (stage boundary)."""
         self.backend.commit()
@@ -149,8 +154,8 @@ class PeerState:
     def declare(self, schema: RelationSchema) -> RelationSchema:
         """Declare a relation schema (persisted on durable backends)."""
         declared = self.schemas.declare(schema)
-        self.backend.save_meta("schema", f"{declared.name}@{declared.peer}",
-                               serialize.encode_schema(declared))
+        self._save_meta("schema", f"{declared.name}@{declared.peer}",
+                        codec.encode_schema(declared))
         return declared
 
     def kind_of(self, relation: str, peer: str) -> Optional[RelationKind]:
@@ -174,7 +179,7 @@ class PeerState:
             rule = Rule(head=rule.head, body=rule.body, author=self.peer,
                         origin=rule.origin, rule_id=rule.rule_id)
         self.own_rules.append(rule)
-        self.backend.save_meta("rule", rule.rule_id, serialize.encode_rule(rule))
+        self._save_meta("rule", rule.rule_id, codec.encode_rule(rule))
         return rule
 
     def remove_rule(self, rule_id: str) -> Optional[Rule]:
@@ -194,7 +199,7 @@ class PeerState:
                                    author=new_rule.author or self.peer,
                                    origin=new_rule.origin, rule_id=rule_id)
                 self.own_rules[index] = replacement
-                self.backend.save_meta("rule", rule_id, serialize.encode_rule(replacement))
+                self._save_meta("rule", rule_id, codec.encode_rule(replacement))
                 return replacement
         raise KeyError(f"no rule with id {rule_id!r} at peer {self.peer}")
 
@@ -219,8 +224,8 @@ class PeerState:
         overwrites the identical record.
         """
         installed = self.delegations_in.install(delegation_id, delegator, rule)
-        self.backend.save_meta("delegation", delegation_id,
-                               serialize.encode_delegation(installed))
+        self._save_meta("delegation", delegation_id,
+                        codec.encode_delegation(installed))
         return installed
 
     def retract_delegation(self, delegation_id: str) -> Optional[InstalledDelegation]:

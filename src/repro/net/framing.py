@@ -2,9 +2,10 @@
 
 One frame on the wire is a 4-byte big-endian unsigned length followed by a
 UTF-8 JSON object — the same JSON-compatible dictionaries the rest of the
-runtime already produces through :mod:`repro.runtime.wire` and
+runtime already produces through :mod:`repro.core.codec` and
 :meth:`~repro.runtime.messages.Message.to_wire`, so facts, delegations,
-derivation closures and grants ride the network without a second encoder.
+derivation closures and replication ops ride the network without a second
+encoder.
 
 Two consumption styles are provided:
 

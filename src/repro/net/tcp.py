@@ -255,7 +255,12 @@ class TcpTransport:
                 writer, lock = await self._connect(address)
                 async with lock:
                     await write_frame(writer, frame)
-            except (OSError, FrameError, asyncio.TimeoutError) as exc:
+            except FrameError as exc:
+                # Nothing was written: the frame is lost, the connection is fine.
+                self.events.emit("drop", dest, self._now(),
+                                 reason="oversize", address=address,
+                                 error=str(exc))
+            except (OSError, asyncio.TimeoutError) as exc:
                 self._connections.pop(address, None)
                 self.events.emit("drop", dest, self._now(),
                                  reason="connect", address=address,

@@ -34,8 +34,9 @@ accumulating for the lifetime of the run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
+from repro.core import codec
 from repro.core.facts import Fact
 from repro.core.rules import Rule
 
@@ -54,6 +55,26 @@ class Derivation:
         and the per-target shipping memos: ``author`` is provenance metadata,
         not identity."""
         return (self.fact, self.rule_id, self.support)
+
+    def encode(self) -> Dict[str, Any]:
+        """JSON-compatible representation (see :meth:`decode`)."""
+        return {
+            "fact": codec.encode_fact(self.fact),
+            "rule_id": self.rule_id,
+            "support": [codec.encode_fact(f) for f in self.support],
+            "author": self.author,
+        }
+
+    @classmethod
+    def decode(cls, encoded: Any) -> "Derivation":
+        """Inverse of :meth:`encode`; ``ValueError`` on a missing field."""
+        return cls(
+            fact=codec.decode_fact(codec.required(encoded, "fact")),
+            rule_id=codec.required(encoded, "rule_id"),
+            support=tuple(codec.decode_fact(f)
+                          for f in codec.required(encoded, "support")),
+            author=codec.required(encoded, "author"),
+        )
 
     def __str__(self) -> str:
         supports = ", ".join(str(f) for f in self.support)

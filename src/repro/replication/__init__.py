@@ -31,8 +31,9 @@ runs the whole suite once per mode), falling back to ``reliable``.
 
 Only :mod:`~repro.replication.dots` and :mod:`~repro.replication.channel`
 are imported here: :mod:`~repro.replication.state` depends on
-:mod:`repro.runtime.messages`, which itself imports this package for the op
-codec — importing it at package level would cycle.
+:mod:`repro.runtime.messages`, which itself imports this package for
+:class:`~repro.replication.dots.Op` — importing it at package level would
+cycle.
 """
 
 from __future__ import annotations

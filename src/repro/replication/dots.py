@@ -10,29 +10,50 @@ of out-of-order extras, exactly the representation delta-state CRDTs use.
 An :class:`Op` is the unit of replication: one dotted operation carrying a
 fact insertion, a fact deletion (with the dots it removes — observed-remove
 semantics), a delegation install/retract, or a provenance derivation.  Ops
-are immutable and JSON-encodable (:mod:`repro.runtime.wire`), and joining
-the same op twice is a no-op by construction: the causal context filters
-duplicate sequence numbers before any effect is applied.
+are immutable and JSON-encodable (:meth:`Op.encode`, built on
+:mod:`repro.core.codec`), and joining the same op twice is a no-op by
+construction: the causal context filters duplicate sequence numbers before
+any effect is applied.
 
 This module depends only on :mod:`repro.core` and :mod:`repro.provenance`,
-so the wire codec and the message layer can import it without cycles.
+so the message layer can import it without cycles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
+from repro.core import codec
 from repro.core.facts import Fact
 from repro.core.rules import Rule
 from repro.core.schema import RelationSchema
 from repro.provenance.graph import Derivation
 
-#: The operation kinds a channel replicates.  ``insert``/``delete`` carry
-#: extensional (or provided-intensional) fact updates, ``delegate`` /
-#: ``undelegate`` carry the delegation remainders of distributed rules, and
-#: ``derivation`` carries one provenance closure entry.
-OP_KINDS = ("insert", "delete", "delegate", "undelegate", "derivation")
+#: The operation kinds a channel replicates, each with the :class:`Op`
+#: fields it carries on the wire.  ``insert``/``delete`` carry extensional
+#: (or provided-intensional) fact updates, ``delegate``/``undelegate`` carry
+#: the delegation remainders of distributed rules, and ``derivation``
+#: carries one provenance closure entry.
+OP_FIELDS: Dict[str, Tuple[str, ...]] = {
+    "insert": ("fact",),
+    "delete": ("fact", "removed"),
+    "delegate": ("delegation_id", "rule", "schemas"),
+    "undelegate": ("delegation_id",),
+    "derivation": ("derivation", "anchor"),
+}
+
+#: ``(encode, decode)`` of each op field.
+_FIELD_CODECS = {
+    "fact": (codec.encode_fact, codec.decode_fact),
+    "removed": (list, tuple),
+    "delegation_id": (str, str),
+    "rule": (codec.encode_rule, codec.decode_rule),
+    "schemas": (lambda schemas: [codec.encode_schema(s) for s in schemas],
+                lambda encoded: tuple(codec.decode_schema(s) for s in encoded)),
+    "derivation": (Derivation.encode, Derivation.decode),
+    "anchor": (bool, bool),
+}
 
 
 class Dot(NamedTuple):
@@ -72,6 +93,27 @@ class Op:
     def dot(self, origin: str) -> Dot:
         """This op's dot on the channel from ``origin``."""
         return Dot(origin, self.seq)
+
+    def encode(self) -> Dict[str, Any]:
+        """JSON-compatible representation carrying only the kind's fields.
+
+        An insert op is a sequence number plus one fact; a delete op adds
+        the removed dot numbers, and so on (see :data:`OP_FIELDS`).
+        """
+        encoded: Dict[str, Any] = {"seq": self.seq, "kind": self.kind}
+        for name in OP_FIELDS[self.kind]:
+            encoded[name] = _FIELD_CODECS[name][0](getattr(self, name))
+        return encoded
+
+    @classmethod
+    def decode(cls, encoded: Any) -> "Op":
+        """Inverse of :meth:`encode`; ``ValueError`` on a missing field."""
+        kind = codec.required(encoded, "kind")
+        if kind not in OP_FIELDS:
+            raise ValueError(f"unknown op kind {kind!r}")
+        fields = {name: _FIELD_CODECS[name][1](codec.required(encoded, name))
+                  for name in OP_FIELDS[kind]}
+        return cls(seq=codec.required(encoded, "seq"), kind=kind, **fields)
 
 
 @dataclass

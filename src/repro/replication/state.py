@@ -31,12 +31,11 @@ anti-entropy.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.core.facts import Fact
+from repro.core import codec
 from repro.replication.channel import ChannelInbox, ChannelOutbox, Effect
-from repro.replication.dots import CausalContext
-from repro.runtime import wire
+from repro.replication.dots import CausalContext, Op
 from repro.runtime.messages import (
     DelegationInstallMessage,
     DelegationRetractMessage,
@@ -329,15 +328,15 @@ class ReplicationState:
 
 
 # --------------------------------------------------------------------------- #
-# channel serialisation (JSON-compatible, via the wire codecs)
+# channel serialisation (JSON, via repro.core.codec)
 # --------------------------------------------------------------------------- #
 
 def _encode_outbox(box: ChannelOutbox) -> str:
     return json.dumps({
         "seq": box.seq,
         "acked": box.acked,
-        "log": [wire.encode_op(box.log[s]) for s in sorted(box.log)],
-        "live": [[wire.encode_fact(fact), sorted(seqs)]
+        "log": [box.log[s].encode() for s in sorted(box.log)],
+        "live": [[codec.encode_fact(fact), sorted(seqs)]
                  for fact, seqs in sorted(box.live.items(), key=lambda e: str(e[0]))],
     })
 
@@ -348,10 +347,10 @@ def _decode_outbox(target: str, encoded: str) -> ChannelOutbox:
     box.seq = int(payload.get("seq", 0))
     box.acked = int(payload.get("acked", 0))
     for encoded in payload.get("log", []):
-        op = wire.decode_op(encoded)
+        op = Op.decode(encoded)
         box.log[op.seq] = op
     for encoded_fact, seqs in payload.get("live", []):
-        box.live[wire.decode_fact(encoded_fact)] = set(int(s) for s in seqs)
+        box.live[codec.decode_fact(encoded_fact)] = set(int(s) for s in seqs)
     # Everything unacknowledged retransmits: in-flight messages died with us.
     box.last_sent = box.acked
     return box
@@ -360,7 +359,7 @@ def _decode_outbox(target: str, encoded: str) -> ChannelOutbox:
 def _encode_inbox(box: ChannelInbox) -> str:
     return json.dumps({
         "cc": box.cc.encode(),
-        "visible": [[wire.encode_fact(fact), sorted(seqs)]
+        "visible": [[codec.encode_fact(fact), sorted(seqs)]
                     for fact, seqs in sorted(box.visible.items(),
                                              key=lambda e: str(e[0]))],
         "tombstoned": sorted(box.tombstoned),
@@ -375,7 +374,7 @@ def _decode_inbox(origin: str, encoded: str) -> ChannelInbox:
     box = ChannelInbox(origin)
     box.cc = CausalContext.decode(payload.get("cc", {}))
     for encoded_fact, seqs in payload.get("visible", []):
-        box.visible[wire.decode_fact(encoded_fact)] = set(int(s) for s in seqs)
+        box.visible[codec.decode_fact(encoded_fact)] = set(int(s) for s in seqs)
     box.tombstoned = set(int(s) for s in payload.get("tombstoned", []))
     box.delegation_seq = {str(k): int(v)
                           for k, v in payload.get("delegation_seq", {}).items()}

@@ -18,22 +18,23 @@ computation stage described in the paper:
   replace raw fact/delegation messages on unreliable transports.
 
 Every message can be encoded to / decoded from a JSON-compatible dictionary
-(:meth:`Message.to_wire`, :func:`message_from_wire`) so the same types flow
-over both the in-memory and the multi-process transports.
+(:meth:`Message.to_wire`, :func:`message_from_wire`, built on
+:mod:`repro.core.codec`) so the same types flow over the in-memory and the
+TCP transports.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, FrozenSet, Iterable, Optional, Tuple
 
+from repro.core import codec
 from repro.core.facts import Fact
 from repro.core.rules import Rule
 from repro.core.schema import RelationSchema
 from repro.provenance.graph import Derivation
 from repro.replication.dots import Op
-from repro.runtime import wire
 
 _message_counter = itertools.count(1)
 
@@ -59,13 +60,12 @@ class Message:
         return type(self).__name__
 
     def to_wire(self) -> Dict[str, Any]:
-        """Encode the message as a JSON-compatible dictionary."""
-        return {
-            "kind": self.kind(),
-            "sender": self.sender,
-            "recipient": self.recipient,
-            "message_id": self.message_id,
-        }
+        """Encode the message as a JSON-compatible dictionary: the ``kind``
+        tag, then every field through its entry in :data:`_FIELD_CODECS`."""
+        encoded: Dict[str, Any] = {"kind": self.kind()}
+        for f in fields(self):
+            encoded[f.name] = _FIELD_CODECS.get(f.name, _PLAIN)[0](getattr(self, f.name))
+        return encoded
 
 
 @dataclass(frozen=True)
@@ -86,13 +86,6 @@ class FactMessage(Message):
         """Number of facts (and attached derivations) carried."""
         return len(self.inserted) + len(self.deleted) + len(self.derivations)
 
-    def to_wire(self) -> Dict[str, Any]:
-        encoded = super().to_wire()
-        encoded["inserted"] = [wire.encode_fact(f) for f in sorted(self.inserted, key=str)]
-        encoded["deleted"] = [wire.encode_fact(f) for f in sorted(self.deleted, key=str)]
-        encoded["derivations"] = [wire.encode_derivation(d) for d in self.derivations]
-        return encoded
-
 
 @dataclass(frozen=True)
 class DelegationInstallMessage(Message):
@@ -112,24 +105,12 @@ class DelegationInstallMessage(Message):
         """A delegation counts as one rule plus its attached schemas."""
         return 1 + len(self.schemas)
 
-    def to_wire(self) -> Dict[str, Any]:
-        encoded = super().to_wire()
-        encoded["delegation_id"] = self.delegation_id
-        encoded["rule"] = wire.encode_rule(self.rule) if self.rule is not None else None
-        encoded["schemas"] = [wire.encode_schema(s) for s in self.schemas]
-        return encoded
-
 
 @dataclass(frozen=True)
 class DelegationRetractMessage(Message):
     """Retract a previously installed delegation."""
 
     delegation_id: str = ""
-
-    def to_wire(self) -> Dict[str, Any]:
-        encoded = super().to_wire()
-        encoded["delegation_id"] = self.delegation_id
-        return encoded
 
 
 @dataclass(frozen=True)
@@ -138,12 +119,6 @@ class PeerJoinMessage(Message):
 
     peer_name: str = ""
     address: str = ""
-
-    def to_wire(self) -> Dict[str, Any]:
-        encoded = super().to_wire()
-        encoded["peer_name"] = self.peer_name
-        encoded["address"] = self.address
-        return encoded
 
 
 @dataclass(frozen=True)
@@ -164,23 +139,12 @@ class DeltaEnvelopeMessage(Message):
         """Number of ops carried."""
         return len(self.ops)
 
-    def to_wire(self) -> Dict[str, Any]:
-        encoded = super().to_wire()
-        encoded["ops"] = [wire.encode_op(op) for op in self.ops]
-        encoded["frontier"] = self.frontier
-        return encoded
-
 
 @dataclass(frozen=True)
 class ReplicationDigestMessage(Message):
     """Anti-entropy digest: the sender's channel frontier."""
 
     frontier: int = 0
-
-    def to_wire(self) -> Dict[str, Any]:
-        encoded = super().to_wire()
-        encoded["frontier"] = self.frontier
-        return encoded
 
 
 @dataclass(frozen=True)
@@ -193,11 +157,6 @@ class ReplicationPullMessage(Message):
         """Number of sequence numbers requested."""
         return len(self.want)
 
-    def to_wire(self) -> Dict[str, Any]:
-        encoded = super().to_wire()
-        encoded["want"] = list(self.want)
-        return encoded
-
 
 @dataclass(frozen=True)
 class ReplicationAckMessage(Message):
@@ -205,60 +164,43 @@ class ReplicationAckMessage(Message):
 
     acked: int = 0
 
-    def to_wire(self) -> Dict[str, Any]:
-        encoded = super().to_wire()
-        encoded["acked"] = self.acked
-        return encoded
+
+#: ``(encode, decode)`` of each message field; fields missing from
+#: :data:`_FIELD_CODECS` are plain JSON values and pass as they are.
+_PLAIN = (lambda value: value, lambda value: value)
+_FACTS = (lambda facts: [codec.encode_fact(f) for f in sorted(facts, key=str)],
+          lambda encoded: frozenset(codec.decode_fact(f) for f in encoded))
+_FIELD_CODECS = {
+    "inserted": _FACTS,
+    "deleted": _FACTS,
+    "derivations": (lambda derivations: [d.encode() for d in derivations],
+                    lambda encoded: tuple(Derivation.decode(d) for d in encoded)),
+    "rule": (lambda rule: None if rule is None else codec.encode_rule(rule),
+             lambda encoded: None if encoded is None else codec.decode_rule(encoded)),
+    "schemas": (lambda schemas: [codec.encode_schema(s) for s in schemas],
+                lambda encoded: tuple(codec.decode_schema(s) for s in encoded)),
+    "ops": (lambda ops: [op.encode() for op in ops],
+            lambda encoded: tuple(Op.decode(op) for op in encoded)),
+    "want": (list, tuple),
+}
+
+#: Every message class, by its wire ``kind`` tag.
+_MESSAGE_KINDS = {cls.__name__: cls for cls in (
+    FactMessage, DelegationInstallMessage, DelegationRetractMessage,
+    PeerJoinMessage, DeltaEnvelopeMessage, ReplicationDigestMessage,
+    ReplicationPullMessage, ReplicationAckMessage)}
 
 
 def message_from_wire(encoded: Dict[str, Any]) -> Message:
-    """Decode a message produced by :meth:`Message.to_wire`."""
-    kind = encoded.get("kind")
-    common = {
-        "sender": encoded["sender"],
-        "recipient": encoded["recipient"],
-        "message_id": encoded.get("message_id", _next_message_id()),
-    }
-    if kind == "FactMessage":
-        return FactMessage(
-            inserted=frozenset(wire.decode_fact(f) for f in encoded.get("inserted", [])),
-            deleted=frozenset(wire.decode_fact(f) for f in encoded.get("deleted", [])),
-            derivations=tuple(wire.decode_derivation(d)
-                              for d in encoded.get("derivations", [])),
-            **common,
-        )
-    if kind == "DelegationInstallMessage":
-        rule = encoded.get("rule")
-        return DelegationInstallMessage(
-            delegation_id=encoded.get("delegation_id", ""),
-            rule=wire.decode_rule(rule) if rule is not None else None,
-            schemas=tuple(wire.decode_schema(s) for s in encoded.get("schemas", [])),
-            **common,
-        )
-    if kind == "DelegationRetractMessage":
-        return DelegationRetractMessage(
-            delegation_id=encoded.get("delegation_id", ""), **common
-        )
-    if kind == "PeerJoinMessage":
-        return PeerJoinMessage(
-            peer_name=encoded.get("peer_name", ""), address=encoded.get("address", ""),
-            **common,
-        )
-    if kind == "DeltaEnvelopeMessage":
-        return DeltaEnvelopeMessage(
-            ops=tuple(wire.decode_op(op) for op in encoded.get("ops", [])),
-            frontier=encoded.get("frontier", 0),
-            **common,
-        )
-    if kind == "ReplicationDigestMessage":
-        return ReplicationDigestMessage(frontier=encoded.get("frontier", 0), **common)
-    if kind == "ReplicationPullMessage":
-        return ReplicationPullMessage(
-            want=tuple(encoded.get("want", ())), **common,
-        )
-    if kind == "ReplicationAckMessage":
-        return ReplicationAckMessage(acked=encoded.get("acked", 0), **common)
-    raise ValueError(f"unknown message kind {kind!r}")
+    """Decode a message produced by :meth:`Message.to_wire`.
+
+    An unknown kind or a missing field raises ``ValueError``.
+    """
+    cls = _MESSAGE_KINDS.get(codec.required(encoded, "kind"))
+    if cls is None:
+        raise ValueError(f"unknown message kind {encoded['kind']!r}")
+    return cls(**{f.name: _FIELD_CODECS.get(f.name, _PLAIN)[1](codec.required(encoded, f.name))
+                  for f in fields(cls)})
 
 
 def batch_payload_size(messages: Iterable[Message]) -> int:

@@ -7,6 +7,7 @@ import pytest
 import repro.api
 import repro.runtime
 from repro.api import PeerHandle, SystemBuilder
+from repro.api.query import Subscription
 from repro.provenance import ProvenanceTracker
 from repro.runtime.system import WebdamLogSystem
 
@@ -19,6 +20,7 @@ from repro.runtime.system import WebdamLogSystem
     (ProvenanceTracker, "reset_each_stage", None),
     (SystemBuilder, "backend", "transport"),
     (repro.api, "ProcessSystem", "System"),
+    (Subscription, "poll", "on_delta"),
 ], ids=lambda value: value if isinstance(value, str) else None)
 def test_deprecated_method_is_removed(owner, name, replacement):
     assert not hasattr(owner, name)
@@ -41,3 +43,10 @@ def test_process_runtime_module_is_removed():
     assert "ProcessSystem" not in repro.api.__all__
     with pytest.raises(ImportError):
         importlib.import_module("repro.runtime.processes")
+
+
+@pytest.mark.parametrize("module", ["repro.runtime.wire", "repro.store.serialize"])
+def test_duplicate_codec_modules_are_removed(module):
+    with pytest.raises(ImportError):
+        importlib.import_module(module)
+    assert callable(importlib.import_module("repro.core.codec").encode_fact)

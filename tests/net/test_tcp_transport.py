@@ -240,3 +240,22 @@ def test_provenance_survives_the_wire():
     assert over_tcp.derived
     assert "pictures@Emilien" in over_tcp.base_relations
     assert over_tcp == explain("inmemory")
+
+
+def test_oversize_frame_is_logged_as_oversize_not_connect():
+    """A frame past ``MAX_FRAME_BYTES`` is dropped as ``oversize``; the
+    healthy connection it would have used is not blamed."""
+    picture = b"\xab" * (2 * 1024 * 1024 + 100 * 1024)  # hex doubles it past 4 MiB
+    builder = (system().replication("reliable")
+               .peer("alice").program(
+                   "collection extensional persistent blob@alice(data);\n"
+                   "rule blob@bob($d) :- blob@alice($d);")
+               .peer("bob").done())
+    with with_transport(builder, "tcp").build() as deployment:
+        deployment.converge()
+        deployment.peer("alice").insert(Fact("blob", "alice", (picture,)))
+        deployment.converge()
+        drops = deployment.transport.events.events("drop")
+    reasons = {event["reason"] for event in drops}
+    assert "oversize" in reasons
+    assert "connect" not in reasons

@@ -22,10 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import system
+from repro.core import codec
 from repro.core.facts import Fact
+from repro.core.parser import parse_rule
 from repro.net.events import NetEventLog, read_events
+from repro.provenance.graph import Derivation
 from repro.replication.dots import Op
-from repro.runtime import wire
 from repro.runtime.inmemory import InMemoryTransport
 from repro.runtime.messages import (
     DeltaEnvelopeMessage,
@@ -88,7 +90,7 @@ def drive(deployment, script=SCRIPT, max_steps=800):
 def snapshot_bytes(deployment):
     """A canonical byte string of every relation at every peer."""
     encoded = {
-        peer: {relation: [wire.encode_fact(f) for f in sorted(facts, key=str)]
+        peer: {relation: [codec.encode_fact(f) for f in sorted(facts, key=str)]
                for relation, facts in sorted(relations.items())}
         for peer, relations in deployment.snapshot().items()
     }
@@ -325,11 +327,16 @@ replicated_facts = st.builds(
 )
 
 
+#: The remainder a delegate op installs (every channel-emitted delegate op
+#: carries its rule).
+DELEGATED_RULE = parse_rule("mid@bob($x) :- src@alice($x)", author="alice")
+
+
 @st.composite
 def ops(draw):
     seq = draw(st.integers(min_value=1, max_value=10**6))
     kind = draw(st.sampled_from(("insert", "delete", "delegate",
-                                 "undelegate")))
+                                 "undelegate", "derivation")))
     if kind == "insert":
         return Op(seq=seq, kind=kind, fact=draw(replicated_facts))
     if kind == "delete":
@@ -337,6 +344,15 @@ def ops(draw):
             st.integers(min_value=1, max_value=10**6), max_size=4))))
         return Op(seq=seq, kind=kind, fact=draw(replicated_facts),
                   removed=removed)
+    if kind == "delegate":
+        return Op(seq=seq, kind=kind, delegation_id=draw(identifiers),
+                  rule=DELEGATED_RULE)
+    if kind == "derivation":
+        derivation = Derivation(fact=draw(replicated_facts), rule_id="rule-1",
+                                support=(draw(replicated_facts),),
+                                author=draw(identifiers))
+        return Op(seq=seq, kind=kind, derivation=derivation,
+                  anchor=draw(st.booleans()))
     return Op(seq=seq, kind=kind, delegation_id=draw(identifiers))
 
 

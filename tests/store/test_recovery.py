@@ -10,6 +10,8 @@ import pytest
 
 from repro.api import system
 from repro.core.facts import Fact
+from repro.core.rules import Atom, Rule
+from repro.core.schema import RelationSchema
 
 PROGRAM_HUB = """
 collection extensional persistent follows@hub(who);
@@ -131,6 +133,47 @@ class TestReopen:
             reopened.converge()
             assert installed(reopened) == first
             reopened.close()
+
+
+#: One constant of every type the metadata format must keep apart.
+TYPED_CONSTANTS = (b"\x00\xff", 1, True, 1.0, float("inf"))
+
+
+def typed_values(rules):
+    return [(type(term.value), term.value) for rule in rules
+            for atom in rule.body for term in atom.args if term.is_constant()]
+
+
+class TestMetadataFormat:
+    def test_rules_schemas_and_delegations_keep_value_types(self, tmp_path):
+        deployment = build(tmp_path)
+        hub = deployment.peer("hub")
+        # Local rule, and a rule whose remainder is installed at left/right.
+        hub.add_rule(Rule(head=Atom.of("tagged", "hub", "$id"),
+                          body=(Atom.of("local", "hub", "$id", *TYPED_CONSTANTS),)))
+        hub.add_rule(Rule(head=Atom.of("tagged", "hub", "$id"),
+                          body=(Atom.of("follows", "hub", "$f"),
+                                Atom.of("marks", "$f", "$id", *TYPED_CONSTANTS))))
+        ranked = RelationSchema("ranked", "hub", ("id", "score"), key=("id",))
+        hub.declare(ranked)
+        seed(deployment)
+        deployment.converge()
+        rules = hub.rules()
+        installed = deployment.peer("left").installed_delegations()
+        assert typed_values(rules).count((float, float("inf"))) == 2
+        assert any(typed_values([d.rule]) for d in installed)
+        deployment.close()
+
+        reopened = build(tmp_path, programs=False)
+        assert reopened.peer("hub").rules() == rules
+        assert typed_values(reopened.peer("hub").rules()) == typed_values(rules)
+        schemas = reopened.runtime.peer("hub").engine.state.schemas
+        assert schemas.get("ranked", "hub") == ranked
+        restored = reopened.peer("left").installed_delegations()
+        assert restored == installed
+        assert (typed_values(d.rule for d in restored)
+                == typed_values(d.rule for d in installed))
+        reopened.close()
 
 
 class TestCrash:
